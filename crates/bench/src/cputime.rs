@@ -1,9 +1,10 @@
-//! Per-thread CPU-time measurement for the scaling benchmarks.
+//! Per-thread CPU-time measurement for the worker pool.
 //!
 //! Wall-clock time cannot show parallel speedup on a CPU-starved host (a
-//! 1-core CI container runs 8 workers exactly as fast as 1), so the scan
-//! benchmarks also measure each worker's *thread CPU time* — the
-//! scheduler-independent cost of the work the worker actually executed.
+//! 1-core CI container runs 8 workers exactly as fast as 1), so the
+//! scaling test and perfbench also measure each worker's *thread CPU
+//! time* — the scheduler-independent cost of the work the worker actually
+//! executed.
 //! The campaign's critical path is the maximum over workers, which is the
 //! wall time the campaign would take on a machine with enough cores: it
 //! punishes serialization, load imbalance, and spin contention, the
@@ -12,7 +13,7 @@
 //! On Linux this reads `CLOCK_THREAD_CPUTIME_ID` directly (the workspace
 //! vendors no libc crate, so the one syscall wrapper is declared by
 //! hand); elsewhere it degrades to a process-wide monotonic clock, which
-//! keeps the benchmarks running but conflates CPU time with wall time.
+//! keeps the measurements running but conflates CPU time with wall time.
 
 #[cfg(target_os = "linux")]
 mod imp {
@@ -66,13 +67,6 @@ pub fn thread_cpu_ns() -> u64 {
     imp::thread_cpu_ns()
 }
 
-/// How many hardware threads the host actually offers — recorded next to
-/// every scaling curve so a flat wall-clock line on a 1-core container is
-/// readable as a host limit, not an engine regression.
-pub fn host_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,10 +109,5 @@ mod tests {
                 after - before
             );
         }
-    }
-
-    #[test]
-    fn host_cpus_is_positive() {
-        assert!(host_cpus() >= 1);
     }
 }

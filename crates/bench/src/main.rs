@@ -129,6 +129,22 @@ struct Options {
     out_dir: Option<PathBuf>,
 }
 
+/// Parses a numeric flag's value, or exits 2 with `usage` when the value
+/// is missing, malformed or rejected by `valid`.
+fn numeric<T: std::str::FromStr>(
+    value: Option<String>,
+    valid: impl Fn(&T) -> bool,
+    usage: &str,
+) -> T {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(valid)
+        .unwrap_or_else(|| {
+            eprintln!("{usage}");
+            std::process::exit(2);
+        })
+}
+
 fn parse_args() -> Options {
     let mut positionals: Vec<String> = Vec::new();
     let mut scale = 0.02;
@@ -153,10 +169,11 @@ fn parse_args() -> Options {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
-                scale = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--scale needs a number in (0, 1]");
-                    std::process::exit(2);
-                });
+                scale = numeric(
+                    args.next(),
+                    |s: &f64| *s > 0.0 && *s <= 1.0,
+                    "--scale needs a number in (0, 1]",
+                );
             }
             "--exp" => match args.next().as_deref() {
                 Some("1") => experiments = vec![ExperimentSpec::first()],
@@ -168,10 +185,18 @@ fn parse_args() -> Options {
                 }
             },
             "--threads" => {
-                threads = args.next().and_then(|v| v.parse().ok()).unwrap_or(threads);
+                threads = numeric(
+                    args.next(),
+                    |&n: &usize| n > 0,
+                    "--threads needs a positive integer",
+                );
             }
             "--loads" => {
-                loads = args.next().and_then(|v| v.parse().ok()).unwrap_or(loads);
+                loads = numeric(
+                    args.next(),
+                    |_: &usize| true,
+                    "--loads needs an unsigned integer",
+                );
             }
             "--faults" => {
                 let name = args.next().unwrap_or_default();
@@ -184,24 +209,27 @@ fn parse_args() -> Options {
                 });
             }
             "--seed" => {
-                seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an unsigned integer");
-                    std::process::exit(2);
-                });
+                seed = numeric(
+                    args.next(),
+                    |_: &u64| true,
+                    "--seed needs an unsigned integer",
+                );
             }
             "--metrics" => metrics = true,
             "--trace-sites" => {
-                trace_sites = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--trace-sites needs an unsigned integer");
-                    std::process::exit(2);
-                });
+                trace_sites = numeric(
+                    args.next(),
+                    |_: &u64| true,
+                    "--trace-sites needs an unsigned integer",
+                );
                 metrics = true;
             }
             "--queries" => {
-                queries = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--queries needs an unsigned integer");
-                    std::process::exit(2);
-                });
+                queries = numeric(
+                    args.next(),
+                    |_: &u64| true,
+                    "--queries needs an unsigned integer",
+                );
             }
             "--no-cache" => no_cache = true,
             "--hostile" => hostile = true,
@@ -243,14 +271,11 @@ fn parse_args() -> Options {
                 };
             }
             "--sites" => {
-                sites = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--sites needs an unsigned site count");
-                    std::process::exit(2);
-                });
-                if sites == 0 {
-                    eprintln!("--sites needs at least one site");
-                    std::process::exit(2);
-                }
+                sites = numeric(
+                    args.next(),
+                    |&n: &usize| n > 0,
+                    "--sites needs a positive site count",
+                );
             }
             "--record" => {
                 record = Some(PathBuf::from(args.next().unwrap_or_else(|| {
@@ -265,10 +290,11 @@ fn parse_args() -> Options {
                 })));
             }
             "--kill-after" => {
-                kill_after = Some(args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--kill-after needs an unsigned row count");
-                    std::process::exit(2);
-                }));
+                kill_after = Some(numeric(
+                    args.next(),
+                    |_: &u64| true,
+                    "--kill-after needs an unsigned row count",
+                ));
             }
             "--out-dir" => {
                 out_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| {

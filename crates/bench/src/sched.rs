@@ -23,12 +23,12 @@
 //! allocation-free per record.
 //!
 //! [`ScanPool`] owns the worker threads themselves. Spawning a thread per
-//! scan was invisible at campaign scale but dominated the short
-//! benchmark iterations that produced the inverted scaling curve of
-//! `BENCH_scan_throughput.json`; a pool spawns once, hands each worker
-//! jobs over a private channel, and reports per-job thread-CPU time so
-//! the benchmarks can measure the critical path instead of the wall
-//! clock of a core-starved host.
+//! scan was invisible at campaign scale but dominated short timed
+//! iterations, where it once inverted the measured scaling curve; a pool
+//! spawns once, hands each worker jobs over a private channel, and
+//! reports per-job thread-CPU time so the scaling test and perfbench can
+//! measure the critical path instead of the wall clock of a core-starved
+//! host.
 
 use std::any::Any;
 use std::ops::Range;
@@ -238,7 +238,7 @@ struct Done {
 /// or [`SparseQueue`], so the pool stays policy-free). Each completion
 /// carries the thread-CPU time the job consumed, which
 /// [`ScanPool::worker_cpu_ns`] / [`ScanPool::critical_path_ns`] expose
-/// for the scaling benchmarks.
+/// for the scaling test and perfbench.
 ///
 /// A job that panics does not kill its worker: the panic is caught,
 /// reported with the completion, and re-raised on the broadcasting

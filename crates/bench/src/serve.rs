@@ -270,25 +270,13 @@ fn run_shard(
 pub fn run_serve(cfg: &ServeConfig) -> Result<ServeOutcome, LoadError> {
     let index = Arc::new(ServeIndex::load(&cfg.records)?);
     let trace = generate_trace(&index, cfg.seed, cfg.queries);
-    run_on_index(cfg, index, trace)
+    let mut pool = ScanPool::new(cfg.workers.max(1));
+    Ok(run_on_pool(cfg, index, trace, &mut pool))
 }
 
-/// [`run_serve`] over an index already in memory (benches reuse the
-/// loaded index across worker-count sweeps).
-pub fn run_on_index(
-    cfg: &ServeConfig,
-    index: Arc<ServeIndex>,
-    trace: Vec<Query>,
-) -> Result<ServeOutcome, LoadError> {
-    let workers = cfg.workers.max(1);
-    let mut pool = ScanPool::new(workers);
-    let outcome = run_on_pool(cfg, index, trace, &mut pool);
-    Ok(outcome)
-}
-
-/// The innermost driver: reuses an existing pool (the throughput bench
-/// keeps one pool alive across samples so per-sample cost is the serve
-/// work, not thread spawning).
+/// The innermost driver: reuses an existing pool (perfbench and the
+/// scaling test keep one pool alive across samples so per-sample cost is
+/// the serve work, not thread spawning).
 pub fn run_on_pool(
     cfg: &ServeConfig,
     index: Arc<ServeIndex>,

@@ -115,7 +115,7 @@ impl ServeIndex {
         Ok(ServeIndex { campaigns })
     }
 
-    /// Builds an index from records already in memory (tests, benches).
+    /// Builds an index from records already in memory (tests, perfbench).
     pub fn from_records(records: Vec<StoredRecord>) -> ServeIndex {
         ServeIndex {
             campaigns: records.into_iter().map(LoadedCampaign::build).collect(),
