@@ -5,8 +5,8 @@
 //! page loads over impaired links, and seeded attack engagements drawn
 //! from [`h2attack::vectors`] — runs against the seven testbed profiles
 //! in virtual time. Every connection's class and target derive purely
-//! from `(campaign seed, site index)`, work is distributed by chunked
-//! claiming into index-addressed slots, and traces flush as per-site
+//! from `(campaign seed, site index)`, work runs on a [`ScanPool`]
+//! through the scan driver's worker loop, and traces flush as per-site
 //! batches, so the whole report is byte-identical at any thread count
 //! (the same contract as [`crate::scan`]).
 //!
@@ -17,8 +17,6 @@
 
 use std::fmt::Write as _;
 
-use crossbeam::thread;
-
 use h2attack::{AttackReport, AttackVector, ConfusionMatrix, Detector, RobustnessRow};
 use h2fault::{splitmix64, ImpairmentSpec};
 use h2obs::{Obs, SiteTrace};
@@ -27,7 +25,7 @@ use h2server::{ServerProfile, SiteSpec};
 use h2wire::Settings;
 use netsim::time::SimDuration;
 
-use crate::sched::{Slots, WorkQueue};
+use crate::sched::ScanPool;
 
 /// Campaign size at `--scale 1`: 60 connections per testbed profile.
 const BASE_SITES: u64 = 420;
@@ -209,29 +207,19 @@ fn run_site(profiles: &[ServerProfile], options: &AbuseOptions, i: u64, obs: &Ob
 /// Runs the whole campaign: the mixed population, the detector pass and
 /// the robustness matrix. Byte-identical at any `threads`.
 pub fn run_campaign(options: &AbuseOptions) -> AbuseCampaign {
-    let threads = options.threads.max(1);
     let total = options.site_count();
     let mut profiles = ServerProfile::testbed();
     profiles.push(ServerProfile::rfc7540());
     // Trace every site: the detector consumes the frame-level traces.
     let obs = Obs::campaign(total);
-    let queue = WorkQueue::new(total, threads);
-    let slots = Slots::new(total as usize);
-    thread::scope(|scope| {
-        for _ in 0..threads {
-            let obs = obs.clone();
-            let (queue, slots, profiles) = (&queue, &slots, &profiles);
-            scope.spawn(move |_| {
-                while let Some(range) = queue.claim() {
-                    for i in range {
-                        slots.put(i as usize, run_site(profiles, options, i, &obs));
-                    }
-                }
-            });
-        }
-    })
-    .expect("abuse campaign workers do not panic");
-    let outcomes = slots.into_vec();
+    let outcomes = {
+        let (options, obs) = (options.clone(), obs.clone());
+        ScanPool::new(options.threads).map_indexed(
+            total,
+            || (),
+            move |_, i| run_site(&profiles, &options, i, &obs),
+        )
+    };
 
     let snapshot = obs.snapshot().expect("campaign obs snapshots");
     let detector = Detector::default();

@@ -103,6 +103,7 @@ use std::time::Instant;
 use h2fault::{FaultProfile, KillPoint};
 use h2obs::Obs;
 use h2ready_bench::scan::RecordedScan;
+use h2ready_bench::sched::ScanPool;
 use h2ready_bench::{abuse, figures, push_study, scan, serve, tables, wild};
 use webpop::{ExperimentSpec, Population};
 
@@ -619,14 +620,14 @@ fn main() {
         let population = Population::new(spec.clone(), options.scale);
         let records = if needs_scan(command) || record_base.is_some() {
             let started = Instant::now();
+            let mut pool = ScanPool::new(options.threads);
             let records = if let Some(base) = record_base {
                 let path = resolve(
                     options.out_dir.as_deref(),
                     &per_experiment_path(base, spec.name, options.experiments.len() > 1),
                 );
-                let outcome = scan::scan_recorded(
+                let outcome = pool.scan_recorded(
                     &population,
-                    options.threads,
                     options.faults,
                     options.seed,
                     &obs,
@@ -660,13 +661,7 @@ fn main() {
                     }
                 }
             } else {
-                scan::scan_faulted_with_obs(
-                    &population,
-                    options.threads,
-                    options.faults,
-                    options.seed,
-                    &obs,
-                )
+                pool.scan_faulted_with_obs(&population, options.faults, options.seed, &obs)
             };
             eprintln!(
                 "[{}] scanned {} h2 sites in {:.1}s",

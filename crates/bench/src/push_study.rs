@@ -11,8 +11,8 @@
 //! which is where push's help-vs-hurt boundary lives.
 //!
 //! Work is distributed over the sharded [`ScanPool`]: workers claim
-//! grid cells (one site × one link) from a [`WorkQueue`] and deposit
-//! finished cells into index-addressed [`Slots`], and every per-load
+//! grid cells (one site × one link) through the scan driver's worker
+//! loop (`ScanPool::map_indexed`), and every per-load
 //! connection seed is a pure function of `(campaign seed, site, link,
 //! policy, load)` — so the report (and `PUSH_campaign.json`) is
 //! byte-identical at any thread count, the same contract as
@@ -33,7 +33,7 @@ use netsim::time::SimDuration;
 use netsim::LinkSpec;
 use webpop::{ExperimentSpec, Family, Population};
 
-use crate::sched::{ScanPool, Slots, WorkQueue};
+use crate::sched::ScanPool;
 use crate::stats::{mean, quantile};
 
 /// The RTT bands of the sweep: `(label, round-trip ms)`.
@@ -286,28 +286,17 @@ pub fn run_on(options: &StudyOptions, pool: &mut ScanPool) -> StudyReport {
     let sites = sampled_sites(options, &population);
     let links = RTT_BANDS.len() * BANDWIDTHS.len();
     let total = sites.len() * links;
-    let queue = Arc::new(WorkQueue::new(total as u64, pool.threads()));
-    let slots = Arc::new(Slots::new(total));
-    let shared = Arc::new((population, sites, options.clone()));
-    {
-        let queue = Arc::clone(&queue);
-        let slots = Arc::clone(&slots);
-        let shared = Arc::clone(&shared);
-        pool.broadcast(move |_worker| {
-            let (population, sites, options) = &*shared;
-            while let Some(range) = queue.claim() {
-                for item in range {
-                    let site = sites[item as usize / links];
-                    let link = item as usize % links;
-                    let (rtt, bw) = (link / BANDWIDTHS.len(), link % BANDWIDTHS.len());
-                    slots.put(item as usize, run_cell(population, options, site, rtt, bw));
-                }
-            }
-        });
-    }
-    let cells = Arc::into_inner(slots)
-        .expect("broadcast returns only after every job dropped its state")
-        .into_vec();
+    let study = options.clone();
+    let cells = pool.map_indexed(
+        total as u64,
+        || (),
+        move |_, item| {
+            let site = sites[item as usize / links];
+            let link = item as usize % links;
+            let (rtt, bw) = (link / BANDWIDTHS.len(), link % BANDWIDTHS.len());
+            run_cell(&population, &study, site, rtt, bw)
+        },
+    );
     StudyReport {
         options: options.clone(),
         cells,

@@ -3,8 +3,10 @@
 //! ("we construct a thread pool with configurable number of threads, each
 //! of which will test a web site").
 //!
-//! Every scan variant — plain, faulted, recorded, resumed — runs on a
-//! [`ScanPool`] of persistent workers. Each worker is a shared-nothing
+//! Every scan variant — plain, faulted, recorded, resumed — runs through
+//! one worker loop, `ScanPool::map_indexed`, on a [`ScanPool`] of
+//! persistent workers (a recorded scan maps over its to-do list: every
+//! site, or the sites a partial record lacks). Each worker is a shared-nothing
 //! simulator shard: it owns its [`H2Scope`] scratch state, an
 //! [`Obs::worker_shard`] counter registry, and (per connection) a
 //! private netsim event loop, touching shared state only to claim the
@@ -22,91 +24,64 @@ use h2fault::{splitmix64, FaultPlan, FaultProfile, KillPoint};
 use h2obs::Obs;
 use h2scope::{survey_with_retries, H2Scope, ProbeOutcome, SiteReport};
 use netsim::time::SimDuration;
-use webpop::{Family, Population, SiteSample};
+use webpop::{Population, SiteSample};
 
-use crate::sched::{ScanPool, Slots, SparseQueue, WorkQueue};
+use crate::sched::{ScanPool, Slots, WorkQueue};
 
-/// One scanned site with its generated family (kept alongside the report
-/// so family-conditioned figures don't have to re-parse server strings).
-#[derive(Debug, Clone)]
-pub struct ScanRecord {
-    /// Site index within the campaign.
-    pub index: u64,
-    /// Generated family (ground truth).
-    pub family: Family,
-    /// What H2Scope measured.
-    pub report: SiteReport,
-}
-
-/// Scans every h2 site of the population with `threads` worker threads,
-/// returning records in index order.
-///
-/// Convenience wrapper that spins up a transient [`ScanPool`]; callers
-/// running repeated campaigns (benchmarks, the coming `repro serve`
-/// daemon) should hold a pool and call [`ScanPool::scan`] to amortize
-/// worker spawning.
-pub fn scan(population: &Population, threads: usize) -> Vec<ScanRecord> {
-    ScanPool::new(threads).scan(population)
-}
-
-/// [`scan`] with an observability handle: per-site metrics and (for sites
-/// under the `--trace-sites` limit) frame-level traces are recorded into
-/// `obs`. With `Obs::off()` this is exactly [`scan`].
-pub fn scan_with_obs(population: &Population, threads: usize, obs: &Obs) -> Vec<ScanRecord> {
-    ScanPool::new(threads).scan_with_obs(population, obs)
-}
-
-/// Scans the population under a fault profile: every site's probes run
-/// against an impaired link (and possibly a byzantine server) derived
-/// deterministically from `(seed, site index, attempt)`, with deadlines
-/// and retry/backoff from the profile. With the `none` profile this is
-/// exactly [`scan`] — same code path, bit-identical records.
-pub fn scan_faulted(
-    population: &Population,
-    threads: usize,
-    profile: FaultProfile,
-    seed: u64,
-) -> Vec<ScanRecord> {
-    ScanPool::new(threads).scan_faulted(population, profile, seed)
-}
-
-/// [`scan_faulted`] with an observability handle (see [`scan_with_obs`]).
-/// All of a site's retry attempts share one per-site context, so retry
-/// telemetry and trace events accumulate across attempts.
-pub fn scan_faulted_with_obs(
-    population: &Population,
-    threads: usize,
-    profile: FaultProfile,
-    seed: u64,
-    obs: &Obs,
-) -> Vec<ScanRecord> {
-    ScanPool::new(threads).scan_faulted_with_obs(population, profile, seed, obs)
-}
+/// One scanned site: its index, its generated family (ground truth, so
+/// family-conditioned figures don't have to re-parse server strings) and
+/// what H2Scope measured — exactly the row a campaign record persists.
+pub type ScanRecord = CampaignRow;
 
 impl ScanPool {
+    /// The one worker loop every pooled job runs on — scans, recorded
+    /// scans, the push study and abuse campaigns. Each worker builds its
+    /// private state once with `init`, claims adaptively-sized chunks of
+    /// `0..total` from a shared [`WorkQueue`], and deposits `work(&state,
+    /// i)` into index-addressed [`Slots`]; the results come back in
+    /// index order.
+    pub(crate) fn map_indexed<S, T>(
+        &mut self,
+        total: u64,
+        init: impl Fn() -> S + Send + Sync + 'static,
+        work: impl Fn(&S, u64) -> T + Send + Sync + 'static,
+    ) -> Vec<T>
+    where
+        T: Send + Sync + 'static,
+    {
+        let queue = WorkQueue::new(total, self.threads());
+        let slots = Arc::new(Slots::new(total as usize));
+        let shared = Arc::clone(&slots);
+        self.broadcast(move |_worker| {
+            let state = init();
+            while let Some(range) = queue.claim() {
+                for i in range {
+                    shared.put(i as usize, work(&state, i));
+                }
+            }
+        });
+        Arc::into_inner(slots)
+            .expect("broadcast returns only after every job dropped its state")
+            .into_vec()
+    }
+
     /// Scans every h2 site of the population on this pool's workers,
     /// returning records in index order.
     pub fn scan(&mut self, population: &Population) -> Vec<ScanRecord> {
-        self.scan_with_obs(population, &Obs::off())
+        self.scan_faulted_with_obs(population, FaultProfile::none(), 0, &Obs::off())
     }
 
-    /// [`ScanPool::scan`] with an observability handle; each worker
-    /// records through its own [`Obs::worker_shard`].
-    pub fn scan_with_obs(&mut self, population: &Population, obs: &Obs) -> Vec<ScanRecord> {
-        self.run_campaign(population, None, 0, obs)
-    }
-
-    /// Scans under a fault profile (see [`scan_faulted`]).
-    pub fn scan_faulted(
-        &mut self,
-        population: &Population,
-        profile: FaultProfile,
-        seed: u64,
-    ) -> Vec<ScanRecord> {
-        self.scan_faulted_with_obs(population, profile, seed, &Obs::off())
-    }
-
-    /// Scans under a fault profile with an observability handle.
+    /// Scans the population under a fault profile: every site's probes
+    /// run against an impaired link (and possibly a byzantine server)
+    /// derived deterministically from `(seed, site index, attempt)`, with
+    /// deadlines and retry/backoff from the profile. With the `none`
+    /// profile this is exactly [`ScanPool::scan`].
+    ///
+    /// Per-site metrics and (for sites under the `--trace-sites` limit)
+    /// frame-level traces go to `obs`, each worker recording through its
+    /// own [`Obs::worker_shard`]; with `Obs::off()` nothing is recorded.
+    /// All of a site's retry attempts share one per-site context, so
+    /// retry telemetry and trace events accumulate across attempts.
     pub fn scan_faulted_with_obs(
         &mut self,
         population: &Population,
@@ -115,54 +90,27 @@ impl ScanPool {
         obs: &Obs,
     ) -> Vec<ScanRecord> {
         let plan = (!profile.is_none()).then(|| FaultPlan::new(profile, seed));
-        self.run_campaign(population, plan, seed, obs)
+        let population = population.clone();
+        self.map_indexed(
+            population.h2_count(),
+            scan_worker(obs),
+            move |(scope_tool, obs), i| {
+                scan_one(scope_tool, &population, i, plan.as_ref(), seed, obs)
+            },
+        )
     }
 
-    /// The one in-memory scan loop: broadcast a queue-draining job to
-    /// every worker, collect the slots.
-    ///
-    /// Workers receive the population behind an `Arc` (a `Population` is
-    /// a spec + scale, so the clone is O(1) — sites are generated on
-    /// demand from `(spec, index)`), claim adaptively-sized index chunks
-    /// from a shared [`WorkQueue`], and deposit records into shared
-    /// [`Slots`]. Everything else a worker touches is its own.
-    fn run_campaign(
-        &mut self,
-        population: &Population,
-        plan: Option<FaultPlan>,
-        seed: u64,
-        obs: &Obs,
-    ) -> Vec<ScanRecord> {
-        let total = population.h2_count();
-        let queue = Arc::new(WorkQueue::new(total, self.threads()));
-        let slots = Arc::new(Slots::new(total as usize));
-        let shared = Arc::new((population.clone(), plan));
-        let obs = obs.clone();
-        {
-            let queue = Arc::clone(&queue);
-            let slots = Arc::clone(&slots);
-            let shared = Arc::clone(&shared);
-            self.broadcast(move |_worker| {
-                let (population, plan) = &*shared;
-                let scope_tool = H2Scope::new();
-                let obs = obs.worker_shard();
-                while let Some(range) = queue.claim() {
-                    for i in range {
-                        slots.put(
-                            i as usize,
-                            scan_one(&scope_tool, population, i, plan.as_ref(), seed, &obs),
-                        );
-                    }
-                }
-            });
-        }
-        Arc::into_inner(slots)
-            .expect("broadcast returns only after every job dropped its state")
-            .into_vec()
-    }
-
-    /// [`ScanPool::scan_faulted_with_obs`] with persistence (see the
-    /// free [`scan_recorded`] for the full contract).
+    /// [`ScanPool::scan_faulted_with_obs`] with persistence: every
+    /// finished site is appended (and flushed) to the campaign record at
+    /// `path` before the worker moves on, so a killed process loses at
+    /// most its in-flight sites. With `resume`, a partial record at
+    /// `path` is validated against this campaign's configuration, its
+    /// rows are preloaded, and only the missing sites are scanned. Either
+    /// way a completed campaign finalizes the record into canonical index
+    /// order — which is why a resumed campaign's final record is
+    /// byte-identical to an uninterrupted one at any thread count: rows
+    /// depend only on `(population, index)` and the final bytes only on
+    /// `(meta, row set)`.
     ///
     /// # Errors
     ///
@@ -189,102 +137,73 @@ impl ScanPool {
             if stored.finalized {
                 // Nothing to do — surface the stored campaign unchanged.
                 obs.sites_resumed(stored.rows.len() as u64);
-                let records = stored
-                    .rows
-                    .into_iter()
-                    .map(|row| ScanRecord {
-                        index: row.index,
-                        family: row.family,
-                        report: row.report,
-                    })
-                    .collect();
                 return Ok(RecordedScan::Complete {
-                    records,
+                    records: stored.rows,
                     resumed: total,
                 });
             }
             preloaded = stored.rows;
         }
-
-        let slots = Arc::new(Slots::new(total as usize));
-        let mut present = vec![false; total as usize];
         let resumed = preloaded.len() as u64;
-        for row in preloaded {
-            present[row.index as usize] = true;
-            slots.put(
-                row.index as usize,
-                ScanRecord {
-                    index: row.index,
-                    family: row.family,
-                    report: row.report,
-                },
-            );
-        }
         obs.sites_resumed(resumed);
-        let writer = Arc::new(if resume {
+        let writer = if resume {
             RecordWriter::append_to(path, resumed)?
         } else {
             RecordWriter::create(path, &meta)?
-        });
-        let missing: Vec<u64> = (0..total).filter(|&i| !present[i as usize]).collect();
-        let queue = Arc::new(SparseQueue::new(missing, self.threads()));
-        let killed = Arc::new(AtomicBool::new(false));
+        };
+        // `read` returns rows sorted, unique and in range, so the to-do
+        // list is their complement in index order.
+        let mut present = vec![false; total as usize];
+        for row in &preloaded {
+            present[row.index as usize] = true;
+        }
+        let todo: Vec<u64> = (0..total).filter(|&i| !present[i as usize]).collect();
+
         let plan = (!profile.is_none()).then(|| FaultPlan::new(profile, seed));
-        let shared = Arc::new((population.clone(), plan));
-        let obs_handle = obs.clone();
-        {
-            let queue = Arc::clone(&queue);
-            let slots = Arc::clone(&slots);
-            let writer = Arc::clone(&writer);
-            let killed = Arc::clone(&killed);
-            let shared = Arc::clone(&shared);
-            self.broadcast(move |_worker| {
-                let (population, plan) = &*shared;
-                let scope_tool = H2Scope::new();
-                let obs = obs_handle.worker_shard();
-                'claims: while let Some(chunk) = queue.claim() {
-                    for &i in chunk {
-                        if killed.load(Ordering::Relaxed) {
-                            break 'claims;
-                        }
-                        let record =
-                            scan_one(&scope_tool, population, i, plan.as_ref(), seed, &obs);
-                        let row = CampaignRow {
-                            index: record.index,
-                            family: record.family,
-                            report: record.report.clone(),
-                        };
-                        // A record that cannot persist its rows has lost
-                        // its crash-safety contract; stop the campaign.
-                        let written = writer.append(&row).expect("campaign record append");
-                        slots.put(i as usize, record);
-                        if kill.is_some_and(|k| written >= k.after_rows) {
-                            killed.store(true, Ordering::Relaxed);
-                            break 'claims;
-                        }
-                    }
+        let population = population.clone();
+        let killed = AtomicBool::new(false);
+        let kill_after = kill.map(|k| k.after_rows);
+        let scanned = self.map_indexed(
+            todo.len() as u64,
+            scan_worker(obs),
+            move |(scope_tool, obs), position| {
+                if killed.load(Ordering::Relaxed) {
+                    return None;
                 }
-            });
+                let i = todo[position as usize];
+                let row = scan_one(scope_tool, &population, i, plan.as_ref(), seed, obs);
+                // A record that cannot persist its rows has lost its
+                // crash-safety contract; stop the campaign.
+                let written = writer.append(&row).expect("campaign record append");
+                if kill_after.is_some_and(|k| written >= k) {
+                    killed.store(true, Ordering::Relaxed);
+                }
+                Some(row)
+            },
+        );
+        // Appends return the running row count, so the kill point fired
+        // exactly when this run appended and the journal reached it.
+        let appended = scanned.iter().flatten().count() as u64;
+        let rows = resumed + appended;
+        if appended > 0 && kill_after.is_some_and(|k| rows >= k) {
+            return Ok(RecordedScan::Killed { rows });
         }
-        if killed.load(Ordering::Relaxed) {
-            return Ok(RecordedScan::Killed {
-                rows: writer.rows_written(),
-            });
-        }
-        let records = Arc::into_inner(slots)
-            .expect("broadcast returns only after every job dropped its state")
-            .into_vec();
-        let rows: Vec<CampaignRow> = records
+        let mut preloaded = preloaded.into_iter();
+        let mut scanned = scanned.into_iter().flatten();
+        let records: Vec<ScanRecord> = present
             .iter()
-            .map(|r| CampaignRow {
-                index: r.index,
-                family: r.family,
-                report: r.report.clone(),
-            })
+            .filter_map(|&p| if p { preloaded.next() } else { scanned.next() })
             .collect();
-        h2campaign::finalize(path, &meta, &rows)?;
+        h2campaign::finalize(path, &meta, &records)?;
         Ok(RecordedScan::Complete { records, resumed })
     }
+}
+
+/// A scan worker's private state: its [`H2Scope`] scratch and its
+/// [`Obs::worker_shard`].
+fn scan_worker(obs: &Obs) -> impl Fn() -> (H2Scope, Obs) + Send + Sync + 'static {
+    let obs = obs.clone();
+    move || (H2Scope::new(), obs.worker_shard())
 }
 
 /// Surveys one site through the single code path every scan variant
@@ -357,7 +276,7 @@ pub fn headers_records(records: &[ScanRecord]) -> Vec<&ScanRecord> {
         .collect()
 }
 
-/// How a recorded scan ([`scan_recorded`]) ended.
+/// How a recorded scan ([`ScanPool::scan_recorded`]) ended.
 #[derive(Debug)]
 pub enum RecordedScan {
     /// The campaign completed and the record on disk was finalized.
@@ -373,35 +292,6 @@ pub enum RecordedScan {
         /// Rows persisted before the simulated crash.
         rows: u64,
     },
-}
-
-/// [`scan_faulted_with_obs`] with persistence: every finished site is
-/// appended (and flushed) to the campaign record at `path` before the
-/// worker moves on, so a killed process loses at most its in-flight
-/// sites. With `resume`, a partial record at `path` is validated against
-/// this campaign's configuration, its rows are preloaded, and only the
-/// missing sites are scanned. Either way a completed campaign finalizes
-/// the record into canonical index order — which is why a resumed
-/// campaign's final record is byte-identical to an uninterrupted one at
-/// any thread count: rows depend only on `(population, index)` and the
-/// final bytes only on `(meta, row set)`.
-///
-/// # Errors
-///
-/// [`RecordError`] on I/O failure, a malformed record, or a resume
-/// against a record from a different campaign configuration.
-#[allow(clippy::too_many_arguments)] // the CLI's one call site names them all
-pub fn scan_recorded(
-    population: &Population,
-    threads: usize,
-    profile: FaultProfile,
-    seed: u64,
-    obs: &Obs,
-    path: &Path,
-    resume: bool,
-    kill: Option<KillPoint>,
-) -> Result<RecordedScan, RecordError> {
-    ScanPool::new(threads).scan_recorded(population, profile, seed, obs, path, resume, kill)
 }
 
 /// The scan report's resilience section: outcome histogram plus
@@ -450,10 +340,23 @@ mod tests {
     use super::*;
     use webpop::ExperimentSpec;
 
+    fn plain(population: &Population, threads: usize) -> Vec<ScanRecord> {
+        ScanPool::new(threads).scan(population)
+    }
+
+    fn faulted(
+        population: &Population,
+        threads: usize,
+        profile: FaultProfile,
+        seed: u64,
+    ) -> Vec<ScanRecord> {
+        ScanPool::new(threads).scan_faulted_with_obs(population, profile, seed, &Obs::off())
+    }
+
     #[test]
     fn scan_covers_the_population_in_order() {
         let population = Population::new(ExperimentSpec::first(), 0.001);
-        let records = scan(&population, 4);
+        let records = plain(&population, 4);
         assert_eq!(records.len() as u64, population.h2_count());
         assert!(records.windows(2).all(|w| w[0].index < w[1].index));
         let with_headers = headers_records(&records);
@@ -464,9 +367,9 @@ mod tests {
     #[test]
     fn scan_is_deterministic_across_thread_counts() {
         let population = Population::new(ExperimentSpec::first(), 0.0005);
-        let a = scan(&population, 1);
-        let b = scan(&population, 7);
-        let c = scan(&population, 16);
+        let a = plain(&population, 1);
+        let b = plain(&population, 7);
+        let c = plain(&population, 16);
         assert_eq!(a.len(), b.len());
         assert_eq!(a.len(), c.len());
         for ((x, y), z) in a.iter().zip(&b).zip(&c) {
@@ -482,12 +385,13 @@ mod tests {
         // state) must produce exactly what transient pools produce —
         // worker reuse cannot leak state between campaigns.
         let population = Population::new(ExperimentSpec::first(), 0.0005);
-        let fresh_plain = scan(&population, 4);
-        let fresh_faulted = scan_faulted(&population, 4, FaultProfile::flaky(), 0xfa17);
+        let fresh_plain = plain(&population, 4);
+        let fresh_faulted = faulted(&population, 4, FaultProfile::flaky(), 0xfa17);
         let mut pool = ScanPool::new(4);
         for _round in 0..2 {
             let plain = pool.scan(&population);
-            let faulted = pool.scan_faulted(&population, FaultProfile::flaky(), 0xfa17);
+            let faulted =
+                pool.scan_faulted_with_obs(&population, FaultProfile::flaky(), 0xfa17, &Obs::off());
             assert_eq!(plain.len(), fresh_plain.len());
             for (x, y) in plain.iter().zip(&fresh_plain) {
                 assert_eq!(x.report, y.report);
@@ -505,10 +409,10 @@ mod tests {
         // scheduling.
         let population = Population::new(ExperimentSpec::first(), 0.0005);
         let profile = FaultProfile::flaky();
-        let a = scan_faulted(&population, 1, profile, 0xfa17);
-        let b = scan_faulted(&population, 4, profile, 0xfa17);
-        let c = scan_faulted(&population, 8, profile, 0xfa17);
-        let d = scan_faulted(&population, 16, profile, 0xfa17);
+        let a = faulted(&population, 1, profile, 0xfa17);
+        let b = faulted(&population, 4, profile, 0xfa17);
+        let c = faulted(&population, 8, profile, 0xfa17);
+        let d = faulted(&population, 16, profile, 0xfa17);
         let serialize = |records: &[ScanRecord]| {
             h2scope::storage::write_reports(records.iter().map(|r| &r.report))
         };
@@ -528,8 +432,8 @@ mod tests {
     #[test]
     fn faulted_scan_with_none_profile_matches_plain_scan() {
         let population = Population::new(ExperimentSpec::first(), 0.0005);
-        let plain = scan(&population, 4);
-        let faultless = scan_faulted(&population, 4, FaultProfile::none(), 99);
+        let plain = plain(&population, 4);
+        let faultless = faulted(&population, 4, FaultProfile::none(), 99);
         assert_eq!(plain.len(), faultless.len());
         for (x, y) in plain.iter().zip(&faultless) {
             assert_eq!(x.report, y.report);
@@ -543,8 +447,8 @@ mod tests {
         // must still differ between seeds.
         let population = Population::new(ExperimentSpec::first(), 0.0005);
         let profile = FaultProfile::flaky();
-        let a = scan_faulted(&population, 4, profile, 1);
-        let b = scan_faulted(&population, 4, profile, 2);
+        let a = faulted(&population, 4, profile, 1);
+        let b = faulted(&population, 4, profile, 2);
         let serialize = |records: &[ScanRecord]| {
             h2scope::storage::write_reports(records.iter().map(|r| &r.report))
         };
@@ -564,15 +468,19 @@ mod tests {
         let serialize = |records: &[ScanRecord]| {
             h2scope::storage::write_reports(records.iter().map(|r| &r.report))
         };
-        let plain = serialize(&scan(&population, 4));
+        let plain = serialize(&plain(&population, 4));
         let obs = Obs::campaign(2);
-        let observed = serialize(&scan_with_obs(&population, 4, &obs));
-        assert_eq!(plain, observed, "plain scan perturbed by metrics");
-        let faulted = serialize(&scan_faulted(&population, 4, FaultProfile::flaky(), 7));
-        let obs = Obs::campaign(2);
-        let observed = serialize(&scan_faulted_with_obs(
+        let observed = serialize(&ScanPool::new(4).scan_faulted_with_obs(
             &population,
-            4,
+            FaultProfile::none(),
+            0,
+            &obs,
+        ));
+        assert_eq!(plain, observed, "plain scan perturbed by metrics");
+        let faulted = serialize(&faulted(&population, 4, FaultProfile::flaky(), 7));
+        let obs = Obs::campaign(2);
+        let observed = serialize(&ScanPool::new(4).scan_faulted_with_obs(
+            &population,
             FaultProfile::flaky(),
             7,
             &obs,
@@ -589,7 +497,12 @@ mod tests {
         let population = Population::new(ExperimentSpec::first(), 0.0005);
         let run = |threads: usize| {
             let obs = Obs::campaign(3);
-            scan_faulted_with_obs(&population, threads, FaultProfile::flaky(), 7, &obs);
+            ScanPool::new(threads).scan_faulted_with_obs(
+                &population,
+                FaultProfile::flaky(),
+                7,
+                &obs,
+            );
             let snap = obs.snapshot().expect("campaign obs snapshots");
             (h2obs::render_table(&snap), h2obs::render_json(&snap))
         };
@@ -606,7 +519,7 @@ mod tests {
     #[test]
     fn fault_summary_reports_the_taxonomy() {
         let population = Population::new(ExperimentSpec::first(), 0.0005);
-        let records = scan_faulted(&population, 4, FaultProfile::flaky(), 0xfa17);
+        let records = faulted(&population, 4, FaultProfile::flaky(), 0xfa17);
         let summary = fault_summary(&records);
         assert!(summary.contains("gave-up-after-retries"));
         assert!(summary.contains("sites retried"));

@@ -111,65 +111,6 @@ impl WorkQueue {
     }
 }
 
-/// Chunked atomic claiming over an arbitrary (sparse) index list — the
-/// resume path's work queue. A resumed campaign only re-scans the sites
-/// missing from the partial record, which is rarely a contiguous range:
-/// workers were writing rows out of order when the process died. Same
-/// claim discipline as [`WorkQueue`] (one compare-exchange per chunk,
-/// saturating at exhaustion), but over an explicit index list instead of
-/// `0..total`.
-#[derive(Debug)]
-pub struct SparseQueue {
-    indices: Vec<u64>,
-    next: AtomicU64,
-    chunk: u64,
-}
-
-impl SparseQueue {
-    /// A queue handing out the given indices (claim order = list order),
-    /// with claim granularity adapted to `threads` (see [`chunk_size`]).
-    pub fn new(indices: Vec<u64>, threads: usize) -> SparseQueue {
-        let chunk = chunk_size(indices.len() as u64, threads);
-        SparseQueue {
-            indices,
-            next: AtomicU64::new(0),
-            chunk,
-        }
-    }
-
-    /// How many indices the queue was created with.
-    pub fn len(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// `true` when the queue was created empty.
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
-    }
-
-    /// Claims the next unclaimed slice of at most [`chunk_size`] indices,
-    /// or `None` when the list is exhausted. Slices never overlap, and an
-    /// exhausted claim leaves the counter untouched (see
-    /// [`WorkQueue::claim`]).
-    pub fn claim(&self) -> Option<&[u64]> {
-        let total = self.indices.len() as u64;
-        let mut start = self.next.load(Ordering::Relaxed);
-        loop {
-            if start >= total {
-                return None;
-            }
-            let end = (start + self.chunk).min(total);
-            match self
-                .next
-                .compare_exchange_weak(start, end, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return Some(&self.indices[start as usize..end as usize]),
-                Err(observed) => start = observed,
-            }
-        }
-    }
-}
-
 /// Pre-sized, index-addressed result collection.
 ///
 /// Each slot is a [`OnceLock`], so concurrent workers can fill disjoint
@@ -234,8 +175,8 @@ struct Done {
 ///
 /// Workers are spawned once and live for the pool's lifetime;
 /// [`ScanPool::broadcast`] hands every worker one closure of the same
-/// job (the scan paths make the closure drain a shared [`WorkQueue`]
-/// or [`SparseQueue`], so the pool stays policy-free). Each completion
+/// job (the scan driver's `map_indexed` makes the closure drain a
+/// shared [`WorkQueue`], so the pool stays policy-free). Each completion
 /// carries the thread-CPU time the job consumed, which
 /// [`ScanPool::worker_cpu_ns`] / [`ScanPool::critical_path_ns`] expose
 /// for the scaling test and perfbench.
@@ -360,8 +301,8 @@ impl Drop for ScanPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::thread;
     use std::sync::atomic::AtomicUsize;
+    use std::thread;
 
     #[test]
     fn claims_cover_the_index_space_exactly_once() {
@@ -420,12 +361,11 @@ mod tests {
         thread::scope(|scope| {
             for _ in 0..8 {
                 let queue = &queue;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     assert!(queue.claim().is_some(), "worker starved of a first chunk");
                 });
             }
-        })
-        .expect("claimers do not panic");
+        });
     }
 
     #[test]
@@ -446,40 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_exhausted_claims_do_not_mutate_the_counter() {
-        let queue = SparseQueue::new((0..50).collect(), 4);
-        while queue.claim().is_some() {}
-        let settled = queue.next.load(Ordering::Relaxed);
-        for _ in 0..1000 {
-            assert!(queue.claim().is_none());
-        }
-        assert_eq!(
-            queue.next.load(Ordering::Relaxed),
-            settled,
-            "post-exhaustion sparse claims crept the counter"
-        );
-    }
-
-    #[test]
-    fn sparse_claims_cover_the_list_exactly_once() {
-        let indices: Vec<u64> = (0..217).filter(|i| i % 3 != 0).collect();
-        let queue = SparseQueue::new(indices.clone(), 4);
-        assert_eq!(queue.len(), indices.len());
-        let mut claimed = Vec::new();
-        while let Some(chunk) = queue.claim() {
-            claimed.extend_from_slice(chunk);
-        }
-        assert_eq!(claimed, indices);
-    }
-
-    #[test]
-    fn empty_sparse_queue_yields_nothing() {
-        let queue = SparseQueue::new(Vec::new(), 4);
-        assert!(queue.is_empty());
-        assert_eq!(queue.claim(), None);
-    }
-
-    #[test]
     fn slots_collect_in_index_order_regardless_of_fill_order() {
         let slots = Slots::new(5);
         for i in [3usize, 0, 4, 1, 2] {
@@ -495,7 +401,7 @@ mod tests {
         thread::scope(|scope| {
             for _ in 0..4 {
                 let (queue, slots) = (&queue, &slots);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     while let Some(range) = queue.claim() {
                         for i in range {
                             slots.put(i as usize, i * 2);
@@ -503,8 +409,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("workers do not panic");
+        });
         let collected = slots.into_vec();
         assert!(collected
             .iter()

@@ -9,6 +9,7 @@ use h2scope::{ProbeOutcome, ProbeStats, Reaction};
 use webpop::Population;
 
 use crate::scan::{headers_records, ScanRecord};
+use crate::sched::ScanPool;
 use crate::stats::{apportion, fmt_count, spark_cdf};
 
 /// Scales one *independent* measured count back up to paper scale for
@@ -54,9 +55,10 @@ pub fn trend(scale: f64, threads: usize) -> String {
         "month", "NPN", "ALPN", "HEADERS", "prio(last)", "push sites"
     )
     .unwrap();
+    let mut pool = ScanPool::new(threads);
     for (month, spec) in webpop::monthly_series().into_iter().enumerate() {
         let population = Population::new(spec, scale);
-        let records = crate::scan::scan(&population, threads);
+        let records = pool.scan(&population);
         let npn = records
             .iter()
             .filter(|r| r.report.negotiation.npn_h2)
@@ -818,7 +820,7 @@ mod tests {
         // consistency independent per-row rounding could not guarantee.
         for scale in [0.05, 0.01, 0.003] {
             let population = Population::new(ExperimentSpec::first(), scale);
-            let records = crate::scan::scan(&population, 2);
+            let records = ScanPool::new(2).scan(&population);
             let headers = headers_records(&records).len();
             let column = scaled_column(&table5(&records, &population));
             assert_eq!(
@@ -832,7 +834,12 @@ mod tests {
     #[test]
     fn faulted_no_response_split_accounts_for_every_row() {
         let population = Population::new(ExperimentSpec::first(), 0.01);
-        let records = crate::scan::scan_faulted(&population, 2, h2fault::FaultProfile::flaky(), 7);
+        let records = ScanPool::new(2).scan_faulted_with_obs(
+            &population,
+            h2fault::FaultProfile::flaky(),
+            7,
+            &h2obs::Obs::off(),
+        );
         let report = flow_control(&records, &population);
         assert!(
             !report.contains("ACCOUNTING ERROR"),

@@ -1,12 +1,13 @@
 //! Integration tests for the table/figure generators: run a miniature
 //! campaign and check the rendered aggregates carry the paper's shapes.
 
+use h2ready_bench::sched::ScanPool;
 use h2ready_bench::{scan, wild};
 use webpop::{ExperimentSpec, Population};
 
 fn mini_campaign() -> (Population, Vec<scan::ScanRecord>) {
     let population = Population::new(ExperimentSpec::first(), 0.003);
-    let records = scan::scan(&population, 4);
+    let records = ScanPool::new(4).scan(&population);
     (population, records)
 }
 

@@ -26,17 +26,17 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn record_uninterrupted(path: &Path, threads: usize) -> Vec<scan::ScanRecord> {
-    let outcome = scan::scan_recorded(
-        &population(),
-        threads,
-        FaultProfile::flaky(),
-        SEED,
-        &Obs::off(),
-        path,
-        false,
-        None,
-    )
-    .expect("recorded scan");
+    let outcome = ScanPool::new(threads)
+        .scan_recorded(
+            &population(),
+            FaultProfile::flaky(),
+            SEED,
+            &Obs::off(),
+            path,
+            false,
+            None,
+        )
+        .expect("recorded scan");
     match outcome {
         RecordedScan::Complete { records, resumed } => {
             assert_eq!(resumed, 0, "fresh run resumed nothing");
@@ -58,17 +58,17 @@ fn killed_and_resumed_records_are_byte_identical_to_uninterrupted() {
     for (k, kill) in KillPoint::seeded(total, SEED).into_iter().enumerate() {
         for (kill_threads, resume_threads) in [(1, 4), (4, 1)] {
             let path = scratch(&format!("kill{k}-t{kill_threads}"));
-            let outcome = scan::scan_recorded(
-                &population(),
-                kill_threads,
-                FaultProfile::flaky(),
-                SEED,
-                &Obs::off(),
-                &path,
-                false,
-                Some(kill),
-            )
-            .expect("killed scan");
+            let outcome = ScanPool::new(kill_threads)
+                .scan_recorded(
+                    &population(),
+                    FaultProfile::flaky(),
+                    SEED,
+                    &Obs::off(),
+                    &path,
+                    false,
+                    Some(kill),
+                )
+                .expect("killed scan");
             let rows = match outcome {
                 RecordedScan::Killed { rows } => rows,
                 RecordedScan::Complete { .. } => panic!("kill point did not fire"),
@@ -82,17 +82,17 @@ fn killed_and_resumed_records_are_byte_identical_to_uninterrupted() {
                 assert!(rows < total, "the crash left work behind");
             }
 
-            let resumed_outcome = scan::scan_recorded(
-                &population(),
-                resume_threads,
-                FaultProfile::flaky(),
-                SEED,
-                &Obs::off(),
-                &path,
-                true,
-                None,
-            )
-            .expect("resumed scan");
+            let resumed_outcome = ScanPool::new(resume_threads)
+                .scan_recorded(
+                    &population(),
+                    FaultProfile::flaky(),
+                    SEED,
+                    &Obs::off(),
+                    &path,
+                    true,
+                    None,
+                )
+                .expect("resumed scan");
             let (records, resumed) = match resumed_outcome {
                 RecordedScan::Complete { records, resumed } => (records, resumed),
                 RecordedScan::Killed { .. } => panic!("resume had no kill point"),
@@ -118,7 +118,12 @@ fn killed_and_resumed_records_are_byte_identical_to_uninterrupted() {
 fn recorded_scan_returns_the_same_records_as_the_plain_scan() {
     let path = scratch("parity");
     let recorded = record_uninterrupted(&path, 4);
-    let plain = scan::scan_faulted(&population(), 2, FaultProfile::flaky(), SEED);
+    let plain = ScanPool::new(2).scan_faulted_with_obs(
+        &population(),
+        FaultProfile::flaky(),
+        SEED,
+        &Obs::off(),
+    );
     assert_eq!(recorded.len(), plain.len());
     for (a, b) in recorded.iter().zip(&plain) {
         assert_eq!(a.index, b.index);
@@ -134,17 +139,17 @@ fn resuming_a_finalized_record_is_a_no_op() {
     record_uninterrupted(&path, 2);
     let before = std::fs::read(&path).expect("finalized bytes");
     let obs = Obs::campaign(0);
-    let outcome = scan::scan_recorded(
-        &population(),
-        3,
-        FaultProfile::flaky(),
-        SEED,
-        &obs,
-        &path,
-        true,
-        None,
-    )
-    .expect("resume of finalized record");
+    let outcome = ScanPool::new(3)
+        .scan_recorded(
+            &population(),
+            FaultProfile::flaky(),
+            SEED,
+            &obs,
+            &path,
+            true,
+            None,
+        )
+        .expect("resume of finalized record");
     let RecordedScan::Complete { records, resumed } = outcome else {
         panic!("no kill point was set");
     };
@@ -170,29 +175,29 @@ fn sharded_scan_is_byte_identical_to_single_thread_for_every_campaign_kind() {
         h2scope::storage::write_reports(records.iter().map(|r| &r.report))
     };
 
-    let plain_1t = serialize(&scan::scan(&population, 1));
+    let plain_1t = serialize(&ScanPool::new(1).scan(&population));
     for threads in [2, 8, 16] {
         assert_eq!(
             plain_1t,
-            serialize(&scan::scan(&population, threads)),
+            serialize(&ScanPool::new(threads).scan(&population)),
             "plain scan diverged at {threads} threads"
         );
     }
 
-    let faulted_1t = serialize(&scan::scan_faulted(
+    let faulted_1t = serialize(&ScanPool::new(1).scan_faulted_with_obs(
         &population,
-        1,
         FaultProfile::flaky(),
         SEED,
+        &Obs::off(),
     ));
     for threads in [2, 8, 16] {
         assert_eq!(
             faulted_1t,
-            serialize(&scan::scan_faulted(
+            serialize(&ScanPool::new(threads).scan_faulted_with_obs(
                 &population,
-                threads,
                 FaultProfile::flaky(),
-                SEED
+                SEED,
+                &Obs::off()
             )),
             "faulted scan diverged at {threads} threads"
         );
@@ -228,7 +233,12 @@ fn a_reused_pool_records_kills_and_resumes_byte_identically() {
     let mut pool = ScanPool::new(3);
     // Dirty the pool with unrelated campaigns first.
     pool.scan(&population);
-    pool.scan_faulted(&population, FaultProfile::flaky(), SEED ^ 0xdead);
+    pool.scan_faulted_with_obs(
+        &population,
+        FaultProfile::flaky(),
+        SEED ^ 0xdead,
+        &Obs::off(),
+    );
 
     let kill = KillPoint::seeded(population.h2_count(), SEED)[1];
     let path = scratch("pool-reuse");
@@ -278,17 +288,17 @@ fn a_reused_pool_records_kills_and_resumes_byte_identically() {
 fn resume_refuses_a_record_from_a_different_campaign() {
     let path = scratch("mismatch");
     record_uninterrupted(&path, 2);
-    let err = scan::scan_recorded(
-        &population(),
-        2,
-        FaultProfile::flaky(),
-        SEED + 1, // different campaign seed
-        &Obs::off(),
-        &path,
-        true,
-        None,
-    )
-    .expect_err("seed mismatch must be rejected");
+    let err = ScanPool::new(2)
+        .scan_recorded(
+            &population(),
+            FaultProfile::flaky(),
+            SEED + 1, // different campaign seed
+            &Obs::off(),
+            &path,
+            true,
+            None,
+        )
+        .expect_err("seed mismatch must be rejected");
     assert!(err.to_string().contains("seed"), "unhelpful error: {err}");
     std::fs::remove_file(&path).ok();
 }
@@ -298,17 +308,17 @@ fn diff_of_stored_records_matches_the_in_memory_campaign() {
     let path_a = scratch("diff-a");
     let path_b = scratch("diff-b");
     let records_a = record_uninterrupted(&path_a, 2);
-    let outcome = scan::scan_recorded(
-        &Population::new(ExperimentSpec::second(), SCALE),
-        2,
-        FaultProfile::flaky(),
-        SEED,
-        &Obs::off(),
-        &path_b,
-        false,
-        None,
-    )
-    .expect("recorded scan");
+    let outcome = ScanPool::new(2)
+        .scan_recorded(
+            &Population::new(ExperimentSpec::second(), SCALE),
+            FaultProfile::flaky(),
+            SEED,
+            &Obs::off(),
+            &path_b,
+            false,
+            None,
+        )
+        .expect("recorded scan");
     let RecordedScan::Complete {
         records: records_b, ..
     } = outcome

@@ -16,6 +16,7 @@ use std::sync::{Arc, OnceLock};
 
 use h2campaign::{finalize, CampaignMeta, CampaignRow, RecordWriter};
 use h2fault::FaultProfile;
+use h2obs::Obs;
 use h2ready_bench::sched::ScanPool;
 use h2ready_bench::serve::{run_on_pool, ServeConfig};
 use h2serve::{generate_trace, Query, ServeIndex};
@@ -82,7 +83,8 @@ fn plain_scan_scales_to_eight_workers() {
 fn flaky_scan_scales_to_eight_workers() {
     let population = population();
     assert_scales("scan flaky", |pool| {
-        let records = pool.scan_faulted(&population, FaultProfile::flaky(), FAULT_SEED);
+        let records =
+            pool.scan_faulted_with_obs(&population, FaultProfile::flaky(), FAULT_SEED, &Obs::off());
         assert_eq!(records.len() as u64, population.h2_count());
     });
 }

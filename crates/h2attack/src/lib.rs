@@ -19,9 +19,10 @@
 //!    attacked (with the vector), evaluated by precision/recall on
 //!    mixed benign+attack campaigns.
 //!
-//! The three legacy `h2dos` experiments fold into the unified
-//! [`AttackReport`] schema via `From` conversions, so `repro abuse`
-//! reports every vector — old and new — in one table.
+//! Every engagement reports through the unified [`AttackReport`]
+//! schema, so `repro abuse` prints every vector in one table. The §VI
+//! engines behind slow read, table thrash and priority churn are also
+//! public with their size knobs (`examples/dos_vectors.rs` sweeps them).
 //!
 //! ```
 //! use h2attack::{run, AttackVector};

@@ -1,5 +1,9 @@
 //! The malicious-client generator: seven abuse vectors, each a pure
-//! function of `(target, seed)` running in virtual time.
+//! function of `(target, seed)` running in virtual time, plus the §VI
+//! engines behind three of them ([`slow_receiver`] and its
+//! [`connection_window_freeze`] variant, [`table_thrash`],
+//! [`priority_churn`]) exposed with their size knobs and the
+//! mitigation each one measures.
 //!
 //! The volumes here are *campaign* volumes — large enough that the
 //! online detector separates them from benign page loads by an order
@@ -12,17 +16,19 @@ use serde::{Deserialize, Serialize};
 
 use h2hpack::Header;
 use h2scope::{ProbeConn, Reaction, Target, TimedFrame};
+use h2server::{ServerProfile, SiteSpec};
 use h2wire::{
-    DataFrame, ErrorCode, Frame, PingFrame, RstStreamFrame, SettingId, Settings, SettingsFrame,
-    StreamId,
+    DataFrame, ErrorCode, Frame, PingFrame, PriorityFrame, PrioritySpec, RstStreamFrame, SettingId,
+    Settings, SettingsFrame, StreamId, WindowUpdateFrame,
 };
 use netsim::time::SimDuration;
 
 use crate::report::AttackReport;
 
-/// Octets of the connection prelude every vector pays: the client
-/// preface (24) plus an empty SETTINGS frame (9 + 6 of padding slack
-/// kept for parity with `h2dos`'s ledger).
+/// Octets of the connection prelude every vector is charged: the client
+/// preface (24) plus a SETTINGS frame carrying one setting (9 + 6).
+/// Vectors that send an empty SETTINGS frame are charged the same, so
+/// every ledger shares one prelude.
 const PRELUDE_OCTETS: u64 = 24 + 9 + 6;
 
 /// Request+RST pairs in a rapid-reset engagement.
@@ -39,7 +45,7 @@ pub const SLOW_POST_TRICKLES: u32 = 6;
 pub const SLOW_POST_GAP_SECS: u64 = 10;
 /// SETTINGS frames in a flood engagement.
 pub const SETTINGS_FLOOD_FRAMES: u32 = 120;
-/// Requests in a table-thrash engagement (folded from `h2dos`).
+/// Requests in a table-thrash engagement.
 pub const TABLE_THRASH_REQUESTS: u32 = 48;
 /// Idle-stream chain depth in a priority-churn engagement.
 pub const PRIORITY_CHURN_DEPTH: u32 = 32;
@@ -56,7 +62,7 @@ pub enum AttackVector {
     /// then CONTINUATION fragments forever (RFC 7540 §4.3 sets no cap).
     ContinuationFlood,
     /// Advertise a 1-octet window, request large objects, go silent —
-    /// the paper's slow-receiver memory pin (folds `h2dos::slow_receiver`).
+    /// the paper's slow-receiver memory pin (see [`slow_receiver`]).
     SlowRead,
     /// Announce a request body and trickle it an octet at a time with
     /// long quiet gaps, holding request state open indefinitely.
@@ -64,10 +70,10 @@ pub enum AttackVector {
     /// SETTINGS frames in bulk: each extorts an ack (RFC 7540 §6.5.3).
     SettingsFlood,
     /// Announce a huge header table and thrash insertions into it
-    /// (folds `h2dos::table_thrash`).
+    /// (see [`table_thrash`]).
     TableThrash,
-    /// Deep idle-stream dependency chains, repeatedly reversed (folds
-    /// `h2dos::priority_churn`).
+    /// Deep idle-stream dependency chains, repeatedly reversed (see
+    /// [`priority_churn`]).
     PriorityChurn,
 }
 
@@ -135,8 +141,10 @@ pub fn run(vector: AttackVector, target: &Target, seed: u64) -> AttackReport {
         AttackVector::SlowRead => slow_read(target, seed),
         AttackVector::SlowPost => slow_post(target, seed),
         AttackVector::SettingsFlood => settings_flood(target, seed),
-        AttackVector::TableThrash => table_thrash(target),
-        AttackVector::PriorityChurn => priority_churn(target),
+        AttackVector::TableThrash => table_thrash(target, 1 << 26, TABLE_THRASH_REQUESTS),
+        AttackVector::PriorityChurn => {
+            priority_churn(target, PRIORITY_CHURN_DEPTH, PRIORITY_CHURN_ROUNDS).report
+        }
     }
 }
 
@@ -207,46 +215,109 @@ fn continuation_flood(target: &Target, seed: u64) -> AttackReport {
     )
 }
 
-fn slow_read(target: &Target, seed: u64) -> AttackReport {
-    let settings = Settings::new().with(SettingId::InitialWindowSize, 1);
-    let mut conn = ProbeConn::establish(target, settings, seed ^ 0x510_ead);
+/// Requests `streams` large objects under a peer initial window of
+/// `window` octets and lets the server send what that window allows.
+/// Returns the live connection and the octets the attacker sent.
+fn request_big_objects(target: &Target, window: u32, streams: u32, seed: u64) -> (ProbeConn, u64) {
+    let settings = Settings::new().with(SettingId::InitialWindowSize, window);
+    let mut conn = ProbeConn::establish(target, settings, seed);
     conn.exchange();
-    let mut frames = 1u64;
     let mut octets = PRELUDE_OCTETS;
-    for k in 0..SLOW_READ_STREAMS {
+    for k in 0..streams {
         let path = format!("/big/{}", 1 + (k % 7));
-        let header_len = conn.get(1 + 2 * k, &path, None) as u64;
-        frames = frames.saturating_add(1);
-        octets = octets.saturating_add(9 + header_len);
+        octets = octets.saturating_add(9 + conn.get(1 + 2 * k, &path, None) as u64);
     }
     conn.exchange();
-    let leaked: u64 = conn
-        .received
+    (conn, octets)
+}
+
+/// The flow-control ledger: the attacker's spend against the response
+/// octets the server still holds queued, unable to send.
+fn pinned(conn: &ProbeConn, frames: u64, octets: u64) -> AttackReport {
+    AttackReport::new(
+        AttackVector::SlowRead,
+        frames,
+        octets,
+        conn.server().pending_response_octets(),
+        "pinned octets",
+        classify(&conn.received),
+    )
+}
+
+/// DATA payload octets among `frames`.
+fn data_octets(frames: &[TimedFrame]) -> u64 {
+    frames
         .iter()
         .filter_map(|tf| match &tf.frame {
             Frame::Data(d) => Some(d.data.len() as u64),
             _ => None,
         })
-        .sum();
+        .sum()
+}
+
+fn slow_read(target: &Target, seed: u64) -> AttackReport {
+    let (mut conn, octets) = request_big_objects(target, 1, SLOW_READ_STREAMS, seed ^ 0x510_ead);
     // Silence: the attacker holds the connection open without reading.
     conn.advance(SimDuration::from_secs(SLOW_READ_STALL_SECS));
     conn.send(Frame::Ping(PingFrame::request([0x51; 8])));
-    frames = frames.saturating_add(1);
-    octets = octets.saturating_add(17);
     conn.exchange();
-    let folded = h2dos::SlowReceiverReport {
-        attacker_octets: octets,
-        pinned_octets: conn.server().pending_response_octets(),
-        amplification: conn
-            .server()
-            .pending_response_octets()
-            .checked_div(octets)
-            .unwrap_or(0),
-        leaked_octets: leaked,
-    };
-    let mut report = AttackReport::from_slow_receiver(&folded, classify(&conn.received));
-    report.attacker_frames = frames;
-    report
+    // SETTINGS, one HEADERS per stream, the PING.
+    let frames = u64::from(SLOW_READ_STREAMS) + 2;
+    pinned(&conn, frames, octets.saturating_add(17))
+}
+
+/// A flow-control memory pin: the unified report (cost = pinned response
+/// octets) plus the DATA octets the server sent before it stalled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowPin {
+    /// The engagement in the unified schema.
+    pub report: AttackReport,
+    /// Response octets the server emitted before stalling.
+    pub leaked_octets: u64,
+}
+
+/// The slow receiver (§VI; Sherwood et al.'s misbehaving TCP receiver
+/// lifted to HTTP/2 flow control): request `streams` large objects at a
+/// 1-octet initial window, then go silent. The server has committed the
+/// bodies to its send queue, where they stay pinned.
+///
+/// ```
+/// use h2attack::vectors::slow_receiver;
+/// use h2scope::Target;
+/// use h2server::{ServerProfile, SiteSpec};
+///
+/// let victim = Target::testbed(ServerProfile::rfc7540(), SiteSpec::benchmark());
+/// let pin = slow_receiver(&victim, 4);
+/// // Deterministic: same target, same stream count, same report.
+/// assert_eq!(pin.report.attacker_octets, 152);
+/// assert_eq!(pin.report.server_cost, 1_048_572); // kilobytes pinned...
+/// assert_eq!(pin.report.amplification, 6_898); // ...per attacker octet
+/// ```
+pub fn slow_receiver(target: &Target, streams: u32) -> FlowPin {
+    let (conn, octets) = request_big_objects(target, 1, streams, 0xd051);
+    FlowPin {
+        report: pinned(&conn, u64::from(streams) + 1, octets),
+        leaked_octets: data_octets(&conn.received),
+    }
+}
+
+/// The slow receiver's connection-level variant: stream windows stay
+/// healthy, but the attacker never replenishes the *connection* window
+/// (beyond a useless 1-octet keep-alive update). No lower bound on
+/// `SETTINGS_INITIAL_WINDOW_SIZE` prevents it — flow control is
+/// inherently dual-use.
+pub fn connection_window_freeze(target: &Target, streams: u32) -> FlowPin {
+    let (mut conn, octets) = request_big_objects(target, 0x7fff_ffff, streams, 0xd053);
+    let leaked_octets = data_octets(&conn.received);
+    conn.send(Frame::WindowUpdate(WindowUpdateFrame {
+        stream_id: StreamId::CONNECTION,
+        increment: 1,
+    }));
+    conn.exchange();
+    FlowPin {
+        report: pinned(&conn, u64::from(streams) + 2, octets.saturating_add(13)),
+        leaked_octets,
+    }
 }
 
 fn slow_post(target: &Target, seed: u64) -> AttackReport {
@@ -322,23 +393,120 @@ fn settings_flood(target: &Target, seed: u64) -> AttackReport {
     )
 }
 
-fn table_thrash(target: &Target) -> AttackReport {
-    let r = h2dos::table_thrash::attack(target, 1 << 26, TABLE_THRASH_REQUESTS);
+/// HPACK dynamic-table pressure (§VI): announce a `table_size`
+/// `SETTINGS_HEADER_TABLE_SIZE` and issue `requests` requests whose
+/// responses carry ever-changing `set-cookie` values, each another
+/// insertion into the victim's encoder table. The cost is the octets
+/// that table holds afterwards.
+pub fn table_thrash(target: &Target, table_size: u32, requests: u32) -> AttackReport {
+    let settings = Settings::new().with(SettingId::HeaderTableSize, table_size);
+    let mut conn = ProbeConn::establish(target, settings, 0x7ab1e);
+    conn.exchange();
+    for k in 0..requests {
+        conn.fetch(1 + 2 * k, "/");
+    }
     // The thrash's wire cost is its requests: ~40 octets of HEADERS each
     // once the static entries are table hits, plus the prelude.
-    let octets = PRELUDE_OCTETS.saturating_add(u64::from(r.requests).saturating_mul(49));
-    AttackReport::from_table_thrash(&r, octets)
+    let octets = PRELUDE_OCTETS.saturating_add(u64::from(requests).saturating_mul(49));
+    AttackReport::new(
+        AttackVector::TableThrash,
+        u64::from(requests),
+        octets,
+        conn.server().encoder_table_octets(),
+        "table octets",
+        Reaction::Ignored,
+    )
 }
 
-fn priority_churn(target: &Target) -> AttackReport {
-    let r = h2dos::priority_churn::attack(target, PRIORITY_CHURN_DEPTH, PRIORITY_CHURN_ROUNDS);
-    AttackReport::from_priority_churn(&r)
+/// A cookie-injecting RFC reference whose encoder table follows the
+/// peer's `SETTINGS_HEADER_TABLE_SIZE` when `honor_peer` is set.
+fn thrash_victim(honor_peer: bool) -> Target {
+    let mut profile = ServerProfile::rfc7540();
+    profile.behavior.honor_peer_header_table_size = honor_peer;
+    profile.behavior.cookie_injection = true; // fresh set-cookie per response
+    Target::testbed(profile, SiteSpec::benchmark())
+}
+
+/// The vulnerable [`table_thrash`] victim: it honors any peer table size.
+pub fn vulnerable_victim() -> Target {
+    thrash_victim(true)
+}
+
+/// The mitigated [`table_thrash`] victim: it caps its encoder table at
+/// the protocol default whatever the peer announces.
+pub fn capped_victim() -> Target {
+    thrash_victim(false)
+}
+
+/// A priority-churn engagement plus its mitigation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Churn {
+    /// The engagement in the unified schema (cost = tree nodes).
+    pub report: AttackReport,
+    /// Tree nodes left after the victim prunes streams that are not
+    /// active (none of them ever carried a request).
+    pub nodes_after_prune: u64,
+}
+
+/// Priority-tree churn (§VI: "force the server to frequently reconstruct
+/// the dependency tree"): build a chain of `depth` idle streams with
+/// PRIORITY frames — legal on idle streams, no request needed — then
+/// reverse it `rounds` times with exclusive reprioritizations, so every
+/// frame costs the server a subtree move.
+pub fn priority_churn(target: &Target, depth: u32, rounds: u32) -> Churn {
+    let mut conn = ProbeConn::establish(target, Settings::new(), 0xc4);
+    conn.exchange();
+    let dep = |stream: u32, parent: u32, exclusive: bool| {
+        Frame::Priority(PriorityFrame {
+            stream_id: StreamId::new(stream),
+            spec: PrioritySpec {
+                exclusive,
+                dependency: StreamId::new(parent),
+                weight: 256,
+            },
+        })
+    };
+    let mut frames = 0u64;
+    let mut octets = PRELUDE_OCTETS;
+    let mut send = |conn: &mut ProbeConn, batch: &[Frame]| {
+        frames = frames.saturating_add(batch.len() as u64);
+        octets = octets.saturating_add((batch.len() as u64).saturating_mul(14));
+        conn.send_all(batch);
+        conn.exchange();
+    };
+
+    // The chain 1 <- 3 <- 5 <- ... on idle streams.
+    let ids: Vec<u32> = (0..depth).map(|k| 2 * k + 1).collect();
+    let chain: Vec<Frame> = ids.windows(2).map(|w| dep(w[1], w[0], false)).collect();
+    send(&mut conn, &chain);
+    // Each round yanks the tail to the root exclusively (adopting
+    // everything), then pushes it back under the head: maximal subtree
+    // movement per frame.
+    if let (Some(&head), Some(&tail)) = (ids.first(), ids.last()) {
+        for _ in 0..rounds {
+            send(&mut conn, &[dep(tail, 0, true), dep(tail, head, false)]);
+        }
+    }
+
+    let tree = conn.server().core().priority();
+    let mut pruned = tree.clone();
+    pruned.prune(|_| false);
+    Churn {
+        report: AttackReport::new(
+            AttackVector::PriorityChurn,
+            frames,
+            octets,
+            tree.len() as u64,
+            "tree nodes",
+            Reaction::Ignored,
+        ),
+        nodes_after_prune: pruned.len() as u64,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2server::{ServerProfile, SiteSpec};
 
     fn reference() -> Target {
         Target::testbed(ServerProfile::rfc7540(), SiteSpec::benchmark())
@@ -422,6 +590,155 @@ mod tests {
         let churn = run(AttackVector::PriorityChurn, &reference(), 0);
         assert_eq!(churn.cost_unit, "tree nodes");
         assert_eq!(churn.server_cost, u64::from(PRIORITY_CHURN_DEPTH));
+    }
+
+    #[test]
+    fn tiny_window_pins_large_response_bodies() {
+        let pin = slow_receiver(&reference(), 8);
+        // Eight 256 KiB objects, minus one leaked octet per stream.
+        assert!(pin.report.server_cost > 2_000_000, "{pin:?}");
+        assert!(pin.report.attacker_octets < 1_000, "{pin:?}");
+        assert!(pin.report.amplification > 2_000, "{pin:?}");
+        assert_eq!(pin.leaked_octets, 8, "one octet per 1-window stream");
+    }
+
+    #[test]
+    fn amplification_scales_with_stream_count() {
+        let small = slow_receiver(&reference(), 2).report;
+        let large = slow_receiver(&reference(), 16).report;
+        assert!(
+            large.server_cost > 4 * small.server_cost,
+            "{small:?} vs {large:?}"
+        );
+    }
+
+    #[test]
+    fn connection_window_freeze_leaks_only_the_connection_window() {
+        let pin = connection_window_freeze(&reference(), 8);
+        // The server leaks at most the 65,535-octet initial connection
+        // window, then everything else is pinned.
+        assert!(pin.leaked_octets <= 65_535, "{pin:?}");
+        assert!(pin.report.server_cost > 1_900_000, "{pin:?}");
+    }
+
+    #[test]
+    fn litespeed_style_fc_on_headers_pins_even_more() {
+        // A server that also withholds HEADERS keeps the entire response
+        // (headers + body) queued.
+        let target = Target::testbed(ServerProfile::litespeed(), SiteSpec::benchmark());
+        let pin = slow_receiver(&target, 4);
+        assert_eq!(pin.leaked_octets, 0, "nothing escapes at all");
+        assert!(pin.report.server_cost > 1_000_000);
+    }
+
+    const HUGE: u32 = 64 * 1024 * 1024; // the attacker asks for 64 MiB
+
+    #[test]
+    fn obedient_victim_grows_without_bound() {
+        let r = table_thrash(&vulnerable_victim(), HUGE, 200);
+        // Each response inserts a fresh ~50-octet cookie entry; nothing is
+        // ever evicted because the ceiling is astronomically high.
+        assert!(r.server_cost > 10_000, "table should balloon: {r:?}");
+    }
+
+    #[test]
+    fn capped_victim_stays_within_the_default() {
+        let r = table_thrash(&capped_victim(), HUGE, 200);
+        assert!(
+            r.server_cost <= 4_096,
+            "mitigated table must respect the 4 KiB default: {r:?}"
+        );
+    }
+
+    #[test]
+    fn growth_scales_with_request_count_on_vulnerable_victims() {
+        let small = table_thrash(&vulnerable_victim(), HUGE, 20);
+        let large = table_thrash(&vulnerable_victim(), HUGE, 200);
+        assert!(
+            large.server_cost > 5 * small.server_cost,
+            "{small:?} vs {large:?}"
+        );
+    }
+
+    #[test]
+    fn non_indexing_servers_are_immune() {
+        // Nginx never inserts response headers into the table at all.
+        let mut profile = ServerProfile::nginx();
+        profile.behavior.honor_peer_header_table_size = true;
+        profile.behavior.cookie_injection = true;
+        let target = Target::testbed(profile, SiteSpec::benchmark());
+        assert_eq!(table_thrash(&target, HUGE, 100).server_cost, 0);
+    }
+
+    fn h2o() -> Target {
+        Target::testbed(ServerProfile::h2o(), SiteSpec::benchmark())
+    }
+
+    #[test]
+    fn idle_priority_frames_grow_the_tree_for_free() {
+        let churn = priority_churn(&h2o(), 64, 10);
+        assert_eq!(churn.report.server_cost, 64, "one node per idle stream");
+        assert!(churn.report.attacker_octets < 2_500, "{churn:?}");
+    }
+
+    #[test]
+    fn pruning_reclaims_everything() {
+        let churn = priority_churn(&h2o(), 128, 5);
+        assert_eq!(churn.report.server_cost, 128);
+        assert_eq!(churn.nodes_after_prune, 0);
+    }
+
+    #[test]
+    fn server_survives_a_large_storm_consistently() {
+        // 256-deep chain reversed 50 times: the engine must stay sound.
+        let churn = priority_churn(&h2o(), 256, 50);
+        assert_eq!(churn.report.attacker_frames, 255 + 100);
+        assert_eq!(churn.report.server_cost, 256);
+    }
+
+    #[test]
+    fn priority_ignoring_servers_still_track_the_tree_state() {
+        // Even FCFS servers (Nginx) maintain the tree in our engine; the
+        // attack surface is the state, not the scheduler.
+        let target = Target::testbed(ServerProfile::nginx(), SiteSpec::benchmark());
+        assert_eq!(priority_churn(&target, 32, 3).report.server_cost, 32);
+    }
+
+    #[test]
+    fn dos_vectors_example_numbers_are_pinned() {
+        // The figures `examples/dos_vectors.rs` prints for the RFC
+        // reference; any engine change that moves them must be deliberate.
+        let victim = reference();
+        let pin = slow_receiver(&victim, 4).report;
+        assert_eq!(
+            (pin.attacker_octets, pin.server_cost, pin.amplification),
+            (152, 1_048_572, 6_898)
+        );
+        let pin = slow_receiver(&victim, 64).report;
+        assert_eq!((pin.attacker_octets, pin.server_cost), (1_130, 16_777_152));
+        let freeze = connection_window_freeze(&victim, 16);
+        assert_eq!(
+            (freeze.leaked_octets, freeze.report.server_cost),
+            (65_535, 4_128_768)
+        );
+        assert_eq!(
+            table_thrash(&vulnerable_victim(), 1 << 26, 800).server_cost,
+            59_463
+        );
+        assert_eq!(
+            table_thrash(&capped_victim(), 1 << 26, 800).server_cost,
+            4_037
+        );
+        let churn = priority_churn(&victim, 1_024, 20);
+        assert_eq!(
+            (
+                churn.report.attacker_frames,
+                churn.report.attacker_octets,
+                churn.report.server_cost,
+                churn.nodes_after_prune
+            ),
+            (1_063, 14_921, 1_024, 0)
+        );
     }
 
     #[test]

@@ -504,13 +504,14 @@ pub fn finalize(path: &Path, meta: &CampaignMeta, rows: &[CampaignRow]) -> Resul
 /// deduplicated (later duplicates win — they can only arise from a
 /// crash between a row's write and the scheduler's bookkeeping, and
 /// duplicate rows of a deterministic scan are identical anyway).
-/// Finalized records are held to strict form: row count and checksum
-/// must verify.
+/// Every row of a partial record must name a site of the campaign
+/// (`index < meta.sites`). Finalized records are held to strict form:
+/// row count and checksum must verify.
 ///
 /// # Errors
 ///
 /// [`RecordError::Io`] on filesystem failure, [`RecordError::Parse`] on
-/// malformed content.
+/// malformed content or a partial record's out-of-range row.
 pub fn read(path: &Path) -> Result<StoredRecord, RecordError> {
     let mut content = String::new();
     File::open(path)
@@ -540,6 +541,7 @@ pub fn read(path: &Path) -> Result<StoredRecord, RecordError> {
 
     let mut rows = Vec::new();
     let mut end: Option<(u64, u64)> = None;
+    let mut out_of_range = None;
     for (number, line) in lines.iter().enumerate().skip(2) {
         let number = number + 1; // 1-based
         if let Some(rest) = line.strip_prefix("end|") {
@@ -563,7 +565,22 @@ pub fn read(path: &Path) -> Result<StoredRecord, RecordError> {
             }
             break;
         }
-        rows.push(CampaignRow::decode(line).map_err(|m| parse_err(number, m))?);
+        let row = CampaignRow::decode(line).map_err(|m| parse_err(number, m))?;
+        if row.index >= meta.sites {
+            out_of_range.get_or_insert((number, row.index));
+        }
+        rows.push(row);
+    }
+    // A partial record carries no checksum, so each row must at least
+    // name a site of the campaign: resume marks rows off by index.
+    if let (None, Some((number, index))) = (end, out_of_range) {
+        return Err(parse_err(
+            number,
+            format!(
+                "row index {index} outside the campaign's {} sites",
+                meta.sites
+            ),
+        ));
     }
 
     rows.sort_by_key(|r| r.index);
@@ -698,6 +715,25 @@ mod tests {
         let stored = read(&path).expect("read partial");
         assert!(!stored.finalized);
         assert_eq!(stored.rows, rows, "read sorts rows into index order");
+    }
+
+    #[test]
+    fn out_of_range_row_index_is_a_parse_error() {
+        let population = tiny_population();
+        let meta = CampaignMeta::describe(&population, "none", 0);
+        let mut rows = sample_rows(&population, 2);
+        let path = temp_path("out-of-range.h2c");
+        let writer = RecordWriter::create(&path, &meta).expect("create");
+        writer.append(&rows[0]).expect("append");
+        rows[1].index = meta.sites;
+        writer.append(&rows[1]).expect("append");
+        match read(&path) {
+            Err(RecordError::Parse { line, message }) => {
+                assert_eq!(line, 4, "the second row line");
+                assert!(message.contains("outside"), "{message}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! cargo run --release --example dos_vectors
 //! ```
 
-use h2dos::{priority_churn, slow_receiver, table_thrash};
+use h2attack::vectors::{
+    capped_victim, connection_window_freeze, priority_churn, slow_receiver, table_thrash,
+    vulnerable_victim,
+};
 use h2ready::scope::Target;
 use h2ready::server::{ServerProfile, SiteSpec};
 
@@ -15,48 +18,43 @@ fn main() {
 
     println!("== slow receiver (flow control as a memory pin) ==");
     for streams in [1u32, 4, 16, 64] {
-        let report = slow_receiver::attack(&victim, streams);
+        let report = slow_receiver(&victim, streams).report;
         println!(
             "  {streams:>3} streams: attacker sent {:>5} B, pinned {:>9} B  ({}x amplification)",
-            report.attacker_octets, report.pinned_octets, report.amplification
+            report.attacker_octets, report.server_cost, report.amplification
         );
     }
-    let defended = slow_receiver::attack_with_min_window_defense(&victim, 64, 1_024);
-    println!(
-        "  with a minimum-window policy (>= 1024): pinned {} B",
-        defended.pinned_octets
-    );
-    let freeze = slow_receiver::connection_window_freeze(&victim, 16);
+    let freeze = connection_window_freeze(&victim, 16);
     println!(
         "  connection-window freeze variant: leaked {} B, pinned {} B \
          (window minimums cannot stop this one)",
-        freeze.leaked_octets, freeze.pinned_octets
+        freeze.leaked_octets, freeze.report.server_cost
     );
 
     println!("\n== HPACK dynamic-table pressure ==");
     for requests in [50u32, 200, 800] {
-        let report = table_thrash::attack(&table_thrash::vulnerable_victim(), 1 << 26, requests);
+        let report = table_thrash(&vulnerable_victim(), 1 << 26, requests);
         println!(
             "  obedient victim, {requests:>3} requests: encoder table {:>7} B",
-            report.encoder_table_octets
+            report.server_cost
         );
     }
-    let capped = table_thrash::attack(&table_thrash::capped_victim(), 1 << 26, 800);
+    let capped = table_thrash(&capped_victim(), 1 << 26, 800);
     println!(
         "  capped victim (4 KiB ceiling),  800 requests: encoder table {:>7} B",
-        capped.encoder_table_octets
+        capped.server_cost
     );
 
     println!("\n== priority-tree churn ==");
     for depth in [64u32, 256, 1_024] {
-        let report = priority_churn::attack(&victim, depth, 20);
+        let churn = priority_churn(&victim, depth, 20);
         println!(
             "  chain depth {depth:>5}: {:>5} frames ({:>6} B) -> {:>5} tree nodes \
              ({} after pruning)",
-            report.frames_sent,
-            report.attacker_octets,
-            report.tree_nodes,
-            report.tree_nodes_after_prune
+            churn.report.attacker_frames,
+            churn.report.attacker_octets,
+            churn.report.server_cost,
+            churn.nodes_after_prune
         );
     }
     println!(

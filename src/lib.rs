@@ -1,7 +1,8 @@
 //! # h2ready — reproduction of *"Are HTTP/2 Servers Ready Yet?"* (ICDCS 2017)
 //!
-//! This facade crate re-exports the whole workspace so that examples and
-//! downstream users can depend on a single crate:
+//! This facade crate re-exports the protocol stack, the probing tool and
+//! the population so that examples and downstream users can depend on a
+//! single crate:
 //!
 //! * [`wire`] — RFC 7540 binary framing ([`h2wire`]).
 //! * [`hpack`] — RFC 7541 header compression ([`h2hpack`]).
@@ -12,6 +13,11 @@
 //!   profiles of the six servers the paper examines ([`h2server`]).
 //! * [`scope`] — **H2Scope**, the paper's probing tool ([`h2scope`]).
 //! * [`webpop`] — the synthetic top-1M website population.
+//!
+//! The studies built on top — fault injection (`h2fault`), campaign
+//! records (`h2campaign`), the §VI abuse vectors (`h2attack`) and the
+//! query daemon (`h2serve`) — are workspace crates of their own;
+//! `examples/dos_vectors.rs` uses `h2attack` directly.
 //!
 //! # Quickstart
 //!
@@ -29,7 +35,6 @@
 //! ```
 
 pub use h2conn as conn;
-pub use h2dos as dos;
 pub use h2hpack as hpack;
 pub use h2scope as scope;
 pub use h2server as server;
