@@ -28,15 +28,31 @@ impl Resource {
         let path = path.into();
         // Deterministic, mildly compressible content keyed by the path.
         let seed = path.bytes().fold(0u8, u8::wrapping_add);
-        let body: Vec<u8> = (0..size)
-            .map(|i| seed.wrapping_add((i % 251) as u8))
-            .collect();
         Resource {
             path,
             content_type: content_type.into(),
-            body: Bytes::from(body),
+            body: synthetic_body(seed, size),
         }
     }
+}
+
+/// Period of the synthetic content rule.
+const PERIOD: usize = 251;
+
+/// The synthetic body of `len` octets for `seed`: octet `i` is
+/// `seed + i % 251` (wrapping). The only content rule of simulated sites.
+///
+/// Writes one period, then doubles the filled prefix in place: every copy
+/// but the last is a whole number of periods, so the pattern continues
+/// unbroken, and the buffer is allocated once at its final size.
+pub fn synthetic_body(seed: u8, len: usize) -> Bytes {
+    let mut body = Vec::with_capacity(len);
+    body.extend((0..PERIOD.min(len)).map(|i| seed.wrapping_add(i as u8)));
+    while body.len() < len {
+        let copy = body.len().min(len - body.len());
+        body.extend_from_within(..copy);
+    }
+    Bytes::from(body)
 }
 
 /// The content model for one simulated site.
@@ -238,6 +254,24 @@ mod tests {
         let b = Resource::synthetic("/x", "text/plain", 100);
         assert_eq!(a, b);
         assert_eq!(a.body.len(), 100);
+    }
+
+    #[test]
+    fn synthetic_body_matches_the_per_octet_rule() {
+        // Lengths straddle the first multiples of the period, so a
+        // doubling step that copies a partial period is caught.
+        let lens = [
+            0, 1, 250, 251, 252, 501, 502, 503, 753, 4096, 60_000, 98_304, 262_144,
+        ];
+        for seed in 0..=u8::MAX {
+            for len in lens {
+                let oracle: Vec<u8> = (0..len)
+                    .map(|i| seed.wrapping_add((i % 251) as u8))
+                    .collect();
+                let body = synthetic_body(seed, len);
+                assert!(body[..] == oracle[..], "seed {seed}, len {len}");
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use h2server::behavior::PriorityMode;
+use h2server::site::synthetic_body;
 use h2server::{QuirkAction, Resource, ServerProfile, SiteSpec};
 use h2wire::{SettingId, Settings};
 use netsim::time::SimDuration;
@@ -185,21 +186,19 @@ fn permuted_position(i: u64, n: u64, dimension: u64, seed: u64) -> u64 {
     ((u128::from(i) * u128::from(a) + u128::from(b)) % u128::from(n)) as u64
 }
 
-/// The shared large-object body (96 KiB — comfortably above the 65,535
-/// connection window so Algorithm 1's drain works on any wild site).
+/// The shared large-object body: 96 KiB of the synthetic content rule
+/// with seed 0 ([`synthetic_body`]), comfortably above the 65,535
+/// connection window so Algorithm 1's drain works on any wild site.
 ///
 /// Cached per *thread*, not per process: every site references this body
-/// 8 times, and `Bytes` clones bump a reference count, so a process-wide
+/// 7 times, and `Bytes` clones bump a reference count, so a process-wide
 /// body would have every scan worker hammering one shared cache line.
 /// A per-worker copy costs 96 KiB of memory per thread and removes the
 /// cross-core refcount traffic entirely; the bytes are identical on
 /// every thread, so generated sites don't change.
 fn big_body() -> Bytes {
     thread_local! {
-        static BODY: Bytes = {
-            let body: Vec<u8> = (0..96 * 1024).map(|i| (i % 251) as u8).collect();
-            Bytes::from(body)
-        };
+        static BODY: Bytes = synthetic_body(0, 96 * 1024);
     }
     BODY.with(Bytes::clone)
 }
